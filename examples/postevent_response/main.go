@@ -1,9 +1,9 @@
 // Post-event response: when a real catastrophe strikes, the book must
 // be re-estimated in seconds — the rapid post-event modelling workflow
 // of the authors' companion work (paper reference [2]). The estimator
-// indexes the portfolio once, then prices incoming event bulletins
-// interactively, with uncertainty bands, comparing the spatial-index
-// path against a full exposure scan.
+// builds the portfolio's site table once, then prices incoming event
+// bulletins interactively, with uncertainty bands, comparing the
+// chord-distance cull against a full exposure scan.
 //
 //	go run ./examples/postevent_response
 package main
@@ -57,7 +57,7 @@ func main() {
 			res.Low, res.High, res.Elapsed.Round(1000))
 	}
 
-	// Index vs full scan on the final bulletin.
+	// Cull vs full scan on the final bulletin.
 	fast, err := est.Estimate(ctx, bulletins[2])
 	if err != nil {
 		log.Fatal(err)
@@ -66,6 +66,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nspatial index: %v vs full scan %v (same estimate: %.0f vs %.0f)\n",
+	fmt.Printf("\nchord cull: %v vs full scan %v (same estimate: %.0f vs %.0f)\n",
 		fast.Elapsed.Round(1000), slow.Elapsed.Round(1000), fast.GrossMean, slow.GrossMean)
 }

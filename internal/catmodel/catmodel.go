@@ -54,24 +54,25 @@ func New() *Engine {
 	}
 }
 
-func (e *Engine) termsFor(in exposure.Interest) financial.Terms {
-	if e.TermsFor != nil {
-		return e.TermsFor(in)
-	}
-	switch in.Occupancy {
-	case exposure.Commercial, exposure.Industrial:
-		return financial.StandardCommercial(in.Value)
-	default:
-		return financial.StandardResidential(in.Value)
-	}
-}
-
 // Run computes the ELT for one contract: the given exposure database
 // analysed against the full event catalogue. It is deterministic (the
-// moment pipeline is closed-form; no sampling happens in stage 1).
+// moment pipeline is closed-form; no sampling happens in stage 1), and
+// each record equals, bit for bit, a scan of every (event, interest)
+// pair in interest order: the site table only skips sites the hazard
+// model gives intensity 0. Malformed coordinates, values or radii are
+// an error.
 func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Database, contractID uint32) (*elt.Table, error) {
 	if e.Vulnerability == nil {
 		return nil, fmt.Errorf("catmodel: nil vulnerability matrix")
+	}
+	sites, err := NewSites(e.TermsFor, db)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range cat.Events {
+		if err := CheckEvent(ev); err != nil {
+			return nil, err
+		}
 	}
 	if cat.Len() == 0 {
 		return elt.New(contractID, nil), nil
@@ -79,25 +80,6 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 	corr := e.CorrelatedShare
 	if corr <= 0 || corr > 1 {
 		corr = 0.3
-	}
-
-	// Flatten the exposure into parallel arrays once: the inner loop
-	// touches every interest for every in-range event, so layout is
-	// cache-critical (this is the "organise data in large flat tables"
-	// idiom from the paper, in miniature).
-	n := len(db.Interests)
-	lats := make([]float64, n)
-	lons := make([]float64, n)
-	values := make([]float64, n)
-	cons := make([]exposure.Construction, n)
-	perilTerms := make([]financial.Terms, n)
-	for i, in := range db.Interests {
-		loc := db.Locations[in.LocationIndex]
-		lats[i] = loc.Lat
-		lons[i] = loc.Lon
-		values[i] = in.Value
-		cons[i] = in.Construction
-		perilTerms[i] = e.termsFor(in)
 	}
 
 	type partial struct{ recs []elt.Record }
@@ -113,36 +95,16 @@ func (e *Engine) Run(ctx context.Context, cat *catalog.Catalog, db *exposure.Dat
 					}
 				}
 				ev := cat.Events[evIdx]
-				var meanSum, varISum, sigmaCSum, exposed float64
-				for i := 0; i < n; i++ {
-					inten := e.Hazard.IntensityAt(ev, lats[i], lons[i])
-					if inten <= 0 {
-						continue
-					}
-					mdr, sd := e.Vulnerability.DamageMoments(ev.Peril, cons[i], inten)
-					if mdr <= 0 {
-						continue
-					}
-					guMean := mdr * values[i]
-					guSD := sd * values[i]
-					gMean, gSD := perilTerms[i].ApplyMoments(guMean, guSD)
-					if gMean <= 0 && gSD <= 0 {
-						continue
-					}
-					meanSum += gMean
-					varISum += (1 - corr) * gSD * gSD
-					sigmaCSum += math.Sqrt(corr) * gSD
-					exposed += values[i]
-				}
-				if meanSum < e.MinMeanLoss || meanSum <= 0 {
+				t := sites.EventTotals(ev, e.Hazard, e.Vulnerability, corr)
+				if t.Mean < e.MinMeanLoss || t.Mean <= 0 {
 					continue
 				}
 				acc.recs = append(acc.recs, elt.Record{
 					EventID:      ev.ID,
-					MeanLoss:     meanSum,
-					SigmaI:       math.Sqrt(varISum),
-					SigmaC:       sigmaCSum,
-					ExposedValue: exposed,
+					MeanLoss:     t.Mean,
+					SigmaI:       math.Sqrt(t.VarI),
+					SigmaC:       t.SigmaC,
+					ExposedValue: t.Exposed,
 				})
 			}
 			return nil

@@ -3,6 +3,7 @@ package catmodel
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -209,5 +210,51 @@ func TestCorrelatedShareSplitsVariance(t *testing.T) {
 	}
 	if hiC <= loC {
 		t.Fatalf("higher correlated share should raise SigmaC: %v vs %v", hiC, loC)
+	}
+}
+
+// Malformed coordinates, values or radii must fail the run instead of
+// yielding NaN records.
+func TestRunRejectsMalformedInput(t *testing.T) {
+	cat, db := smallWorld(t, 50, 20, 3)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		loc  func(*exposure.Location)
+		in   func(*exposure.Interest)
+		ev   func(*catalog.Event)
+	}{
+		{name: "location NaN lat", loc: func(l *exposure.Location) { l.Lat = nan }},
+		{name: "location lat above 90", loc: func(l *exposure.Location) { l.Lat = 90.5 }},
+		{name: "location lat below -90", loc: func(l *exposure.Location) { l.Lat = -91 }},
+		{name: "location infinite lon", loc: func(l *exposure.Location) { l.Lon = -inf }},
+		{name: "interest NaN value", in: func(in *exposure.Interest) { in.Value = nan }},
+		{name: "interest infinite value", in: func(in *exposure.Interest) { in.Value = inf }},
+		{name: "event NaN lat", ev: func(e *catalog.Event) { e.Lat = nan }},
+		{name: "event infinite lon", ev: func(e *catalog.Event) { e.Lon = inf }},
+		{name: "event NaN radius", ev: func(e *catalog.Event) { e.RadiusKm = nan }},
+		{name: "event negative radius", ev: func(e *catalog.Event) { e.RadiusKm = -1 }},
+		{name: "event infinite radius", ev: func(e *catalog.Event) { e.RadiusKm = inf }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := &exposure.Database{
+				Locations: slices.Clone(db.Locations),
+				Interests: slices.Clone(db.Interests),
+			}
+			events := slices.Clone(cat.Events)
+			if c.loc != nil {
+				c.loc(&d.Locations[d.Interests[len(d.Interests)-1].LocationIndex])
+			}
+			if c.in != nil {
+				c.in(&d.Interests[len(d.Interests)/2])
+			}
+			if c.ev != nil {
+				c.ev(&events[len(events)-1])
+			}
+			if tbl, err := New().Run(context.Background(), catalog.NewCatalog(events), d, 1); err == nil {
+				t.Fatalf("malformed input accepted (%d records)", tbl.Len())
+			}
+		})
 	}
 }

@@ -52,14 +52,19 @@ func (m Model) maxRange() float64 {
 	return m.MaxRangeFactor
 }
 
+// CutoffKm is the distance at and beyond which ev's intensity is
+// exactly 0.
+func (m Model) CutoffKm(ev catalog.Event) float64 {
+	return ev.RadiusKm * m.maxRange()
+}
+
 // IntensityAt returns the hazard intensity event ev produces at
 // (lat, lon). It is pure and deterministic: all stochasticity in the
 // pipeline lives in event occurrence and damage uncertainty, not in
 // the physics approximation.
 func (m Model) IntensityAt(ev catalog.Event, lat, lon float64) Intensity {
 	d := DistanceKm(ev.Lat, ev.Lon, lat, lon)
-	cut := ev.RadiusKm * m.maxRange()
-	if d >= cut {
+	if d >= m.CutoffKm(ev) {
 		return 0
 	}
 	var raw float64

@@ -5,11 +5,11 @@
 // re-priced against the observed footprint in seconds, not in the
 // weekly batch cycle.
 //
-// The estimator flattens the portfolio's exposures once into columnar
-// arrays and a spatial grid index; each incoming event then touches
-// only the grid cells inside its footprint, evaluated by a parallel
-// worker pool. A full-scan path without the index exists for
-// benchmarking the indexing gain.
+// The estimator builds the portfolio's stage-1 site table
+// (catmodel.Sites) once; each incoming event then runs through the
+// same chord-distance cull and loss sums as stage 1. A full-scan path
+// without the cull exists as its reference and for benchmarking the
+// cull's gain.
 package postevent
 
 import (
@@ -19,83 +19,48 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/catmodel"
 	"repro/internal/exposure"
 	"repro/internal/financial"
 	"repro/internal/hazard"
 	"repro/internal/mathx"
-	"repro/internal/stream"
 	"repro/internal/vulnerability"
 )
 
-// cellDegrees is the spatial grid pitch. One degree of latitude is
-// ~111 km, the same order as large-event footprints, so footprints
-// touch a handful of cells.
-const cellDegrees = 1.0
-
-type cellKey struct{ lat, lon int16 }
-
-func keyOf(lat, lon float64) cellKey {
-	return cellKey{int16(math.Floor(lat / cellDegrees)), int16(math.Floor(lon / cellDegrees))}
-}
-
 // Estimator holds the prepared portfolio. Create once with New; safe
 // for concurrent Estimate calls.
+//
+// For an estimator over one database with default terms and hazard
+// model, Estimate(ev).GrossMean and .ExposedValue equal, bit for bit,
+// the MeanLoss and ExposedValue of ev's record in the ELT that
+// catmodel.New().Run computes for that database (and GrossMean is 0
+// when that ELT has no record for ev).
 type Estimator struct {
 	Hazard hazard.Model
 	Vuln   *vulnerability.Matrix
-	// Workers bounds footprint evaluation parallelism; <= 0 GOMAXPROCS.
-	Workers int
 
-	lats, lons []float64
-	values     []float64
-	cons       []exposure.Construction
-	terms      []financial.Terms
-	grid       map[cellKey][]int32
+	sites *catmodel.Sites
 }
 
 // New prepares an estimator over the given exposure databases.
 // termsFor selects policy terms per interest; nil applies standard
-// terms by occupancy (as the stage-1 engine does).
+// terms by occupancy, as the stage-1 engine does.
 func New(dbs []*exposure.Database, termsFor func(exposure.Interest) financial.Terms) (*Estimator, error) {
 	if len(dbs) == 0 {
 		return nil, errors.New("postevent: no exposure databases")
 	}
-	e := &Estimator{
-		Vuln: vulnerability.Default(),
-		grid: make(map[cellKey][]int32),
+	sites, err := catmodel.NewSites(termsFor, dbs...)
+	if err != nil {
+		return nil, err
 	}
-	for _, db := range dbs {
-		for _, in := range db.Interests {
-			loc := db.Locations[in.LocationIndex]
-			idx := int32(len(e.lats))
-			e.lats = append(e.lats, loc.Lat)
-			e.lons = append(e.lons, loc.Lon)
-			e.values = append(e.values, in.Value)
-			e.cons = append(e.cons, in.Construction)
-			var t financial.Terms
-			if termsFor != nil {
-				t = termsFor(in)
-			} else {
-				switch in.Occupancy {
-				case exposure.Commercial, exposure.Industrial:
-					t = financial.StandardCommercial(in.Value)
-				default:
-					t = financial.StandardResidential(in.Value)
-				}
-			}
-			e.terms = append(e.terms, t)
-			k := keyOf(loc.Lat, loc.Lon)
-			e.grid[k] = append(e.grid[k], idx)
-		}
-	}
-	if len(e.lats) == 0 {
+	if sites.Interests() == 0 {
 		return nil, errors.New("postevent: databases contain no interests")
 	}
-	return e, nil
+	return &Estimator{Vuln: vulnerability.Default(), sites: sites}, nil
 }
 
 // Sites returns the number of indexed insured interests.
-func (e *Estimator) Sites() int { return len(e.lats) }
+func (e *Estimator) Sites() int { return e.sites.Interests() }
 
 // Estimate is a rapid loss estimate for one realized event.
 type Estimate struct {
@@ -111,116 +76,45 @@ type Estimate struct {
 	Elapsed   time.Duration
 }
 
-// Estimate evaluates the event against the indexed footprint cells.
+// Estimate evaluates the event against the sites its footprint can
+// reach.
 func (e *Estimator) Estimate(ctx context.Context, ev catalog.Event) (*Estimate, error) {
-	start := time.Now()
-	idxs := e.candidates(ev)
-	est, err := e.evaluate(ctx, ev, idxs)
-	if err != nil {
-		return nil, err
-	}
-	est.Elapsed = time.Since(start)
-	return est, nil
+	return e.estimate(ctx, ev, e.sites.EventTotals)
 }
 
-// EstimateFullScan evaluates the event against every site, bypassing
-// the spatial index — the baseline the index is measured against.
+// EstimateFullScan evaluates the event against every interest,
+// bypassing the cull — the reference Estimate is measured against.
 func (e *Estimator) EstimateFullScan(ctx context.Context, ev catalog.Event) (*Estimate, error) {
+	return e.estimate(ctx, ev, e.sites.EventTotalsFullScan)
+}
+
+type totalsFunc func(catalog.Event, hazard.Model, *vulnerability.Matrix, float64) catmodel.Totals
+
+func (e *Estimator) estimate(ctx context.Context, ev catalog.Event, totals totalsFunc) (*Estimate, error) {
 	start := time.Now()
-	idxs := make([]int32, len(e.lats))
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
-	est, err := e.evaluate(ctx, ev, idxs)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	est.Elapsed = time.Since(start)
-	return est, nil
-}
-
-// candidates returns site indices in grid cells intersecting the
-// event's maximum footprint.
-func (e *Estimator) candidates(ev catalog.Event) []int32 {
-	maxRange := ev.RadiusKm * 3 // matches hazard.Model's default cutoff factor
-	if e.Hazard.MaxRangeFactor > 0 {
-		maxRange = ev.RadiusKm * e.Hazard.MaxRangeFactor
+	if err := catmodel.CheckEvent(ev); err != nil {
+		return nil, err
 	}
-	dLat := maxRange / 111.0
-	cosLat := math.Cos(ev.Lat * math.Pi / 180)
-	if cosLat < 0.2 {
-		cosLat = 0.2
-	}
-	dLon := maxRange / (111.0 * cosLat)
-	var out []int32
-	lo := keyOf(ev.Lat-dLat, ev.Lon-dLon)
-	hi := keyOf(ev.Lat+dLat, ev.Lon+dLon)
-	for la := lo.lat; la <= hi.lat; la++ {
-		for lo := lo.lon; lo <= hi.lon; lo++ {
-			out = append(out, e.grid[cellKey{la, lo}]...)
-		}
-	}
-	return out
-}
-
-type partialEstimate struct {
-	sites   int
-	exposed float64
-	guMean  float64
-	gMean   float64
-	gVar    float64
-}
-
-func (e *Estimator) evaluate(ctx context.Context, ev catalog.Event, idxs []int32) (*Estimate, error) {
 	vuln := e.Vuln
 	if vuln == nil {
 		vuln = vulnerability.Default()
 	}
-	total, err := stream.MapReduceLocal(ctx, len(idxs), e.Workers,
-		func() *partialEstimate { return &partialEstimate{} },
-		func(_ context.Context, r stream.Range, acc *partialEstimate) error {
-			for k := r.Lo; k < r.Hi; k++ {
-				i := idxs[k]
-				inten := e.Hazard.IntensityAt(ev, e.lats[i], e.lons[i])
-				if inten <= 0 {
-					continue
-				}
-				mdr, sd := vuln.DamageMoments(ev.Peril, e.cons[i], inten)
-				if mdr <= 0 {
-					continue
-				}
-				gu := mdr * e.values[i]
-				guSD := sd * e.values[i]
-				gm, gsd := e.terms[i].ApplyMoments(gu, guSD)
-				acc.sites++
-				acc.exposed += e.values[i]
-				acc.guMean += gu
-				acc.gMean += gm
-				acc.gVar += gsd * gsd // site-independent approximation
-			}
-			return nil
-		},
-		func(into, from *partialEstimate) {
-			into.sites += from.sites
-			into.exposed += from.exposed
-			into.guMean += from.guMean
-			into.gMean += from.gMean
-			into.gVar += from.gVar
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	sd := math.Sqrt(total.gVar)
+	// Sites are independent here: no correlated variance share.
+	t := totals(ev, e.Hazard, vuln, 0)
+	sd := math.Sqrt(t.VarI)
 	z := 1.6448536269514722 // Φ⁻¹(0.95)
 	return &Estimate{
 		EventID:      ev.ID,
-		SitesTouched: total.sites,
-		ExposedValue: total.exposed,
-		GroundUpMean: total.guMean,
-		GrossMean:    total.gMean,
+		SitesTouched: t.Interests,
+		ExposedValue: t.Exposed,
+		GroundUpMean: t.GroundUp,
+		GrossMean:    t.Mean,
 		GrossSD:      sd,
-		Low:          mathx.Clamp(total.gMean-z*sd, 0, math.Inf(1)),
-		High:         total.gMean + z*sd,
+		Low:          mathx.Clamp(t.Mean-z*sd, 0, math.Inf(1)),
+		High:         t.Mean + z*sd,
+		Elapsed:      time.Since(start),
 	}, nil
 }

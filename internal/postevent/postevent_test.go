@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/catmodel"
 	"repro/internal/exposure"
 	"repro/internal/financial"
 )
@@ -84,14 +85,51 @@ func TestIndexedMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.SitesTouched != slow.SitesTouched {
-		t.Fatalf("indexed touched %d sites, full scan %d", fast.SitesTouched, slow.SitesTouched)
+	fast.Elapsed, slow.Elapsed = 0, 0
+	if *fast != *slow {
+		t.Fatalf("indexed %+v vs full scan %+v", fast, slow)
 	}
-	if math.Abs(fast.GrossMean-slow.GrossMean) > 1e-6*(1+slow.GrossMean) {
-		t.Fatalf("indexed %v vs full %v", fast.GrossMean, slow.GrossMean)
+}
+
+// The rule in Estimator's doc: over one database with default terms
+// and hazard, an estimate carries the stage-1 record's mean loss and
+// exposed value bit for bit, for every catalogue event.
+func TestEstimateEqualsStage1Record(t *testing.T) {
+	ccfg := catalog.DefaultConfig()
+	ccfg.NumEvents = 3000
+	cat, err := catalog.Generate(ccfg, 37)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(fast.GrossSD-slow.GrossSD) > 1e-6*(1+slow.GrossSD) {
-		t.Fatalf("sd mismatch: %v vs %v", fast.GrossSD, slow.GrossSD)
+	dbs := testDBs(t, 1, 41)
+	tbl, err := catmodel.New().Run(context.Background(), cat, dbs[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := New(dbs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range cat.Events {
+		res, err := est.Estimate(context.Background(), ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := tbl.Lookup(ev.ID)
+		if !ok {
+			if res.GrossMean != 0 {
+				t.Fatalf("event %d: no stage-1 record, estimate %v", ev.ID, res.GrossMean)
+			}
+			continue
+		}
+		if math.Float64bits(res.GrossMean) != math.Float64bits(rec.MeanLoss) ||
+			math.Float64bits(res.ExposedValue) != math.Float64bits(rec.ExposedValue) {
+			t.Fatalf("event %d: estimate mean %v exposed %v, stage 1 %v and %v",
+				ev.ID, res.GrossMean, res.ExposedValue, rec.MeanLoss, rec.ExposedValue)
+		}
+	}
+	if tbl.Len() == 0 {
+		t.Fatal("scenario produced no stage-1 records")
 	}
 }
 
@@ -170,6 +208,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]*exposure.Database{{}}, nil); err == nil {
 		t.Fatal("empty databases should error")
 	}
+	bad := oneSite(math.NaN(), 0)
+	if _, err := New(bad, nil); err == nil {
+		t.Fatal("NaN latitude should error")
+	}
+	est, err := New(oneSite(10, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := catalog.Event{Peril: catalog.Flood, Lat: 10, Lon: 10, Magnitude: 2, RadiusKm: math.NaN()}
+	if _, err := est.Estimate(context.Background(), ev); err == nil {
+		t.Fatal("NaN radius should error")
+	}
 }
 
 func TestCancellation(t *testing.T) {
@@ -212,5 +262,52 @@ func BenchmarkEstimateFullScan(b *testing.B) {
 		if _, err := est.EstimateFullScan(context.Background(), ev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// oneSite is a book of a single residential wood interest.
+func oneSite(lat, lon float64) []*exposure.Database {
+	return []*exposure.Database{{
+		Locations: []exposure.Location{{ID: 1, Lat: lat, Lon: lon}},
+		Interests: []exposure.Interest{{Construction: exposure.Wood, Occupancy: exposure.Residential, Value: 5e6}},
+	}}
+}
+
+// Sites just across the antimeridian or over the pole from an event
+// are in its footprint; the estimate must find them as the full scan
+// does.
+func TestEdgeSitesMatchFullScan(t *testing.T) {
+	cases := []struct {
+		name     string
+		lat, lon float64
+		ev       catalog.Event
+	}{
+		{"antimeridian", 20, 179.9,
+			catalog.Event{ID: 1, Peril: catalog.Hurricane, Lat: 20, Lon: -179.92, Magnitude: 70, RadiusKm: 60}},
+		{"pole", 89.5, 0,
+			catalog.Event{ID: 2, Peril: catalog.WinterStorm, Lat: 89.5, Lon: 179, Magnitude: 45, RadiusKm: 200}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			est, err := New(oneSite(c.lat, c.lon), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := est.EstimateFullScan(context.Background(), c.ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.GrossMean <= 0 {
+				t.Fatalf("full scan finds no loss: %+v", full)
+			}
+			fast, err := est.Estimate(context.Background(), c.ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.SitesTouched != full.SitesTouched || fast.GrossMean != full.GrossMean {
+				t.Fatalf("estimate touched %d sites for %v, full scan %d for %v",
+					fast.SitesTouched, fast.GrossMean, full.SitesTouched, full.GrossMean)
+			}
+		})
 	}
 }
