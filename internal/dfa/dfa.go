@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/mathx"
 	"repro/internal/rng"
@@ -228,13 +228,50 @@ type Integrator struct {
 	Sources []Source
 }
 
-// Run executes the integration over the cat table's trials.
+// rankOrder returns the trials in ascending order of loss, ties broken
+// by trial index. On finite losses (which Run requires) `<` is a strict
+// weak order, so this is exactly the permutation a stable sort by loss
+// gives; sorting (loss, trial) pairs avoids the stable sort's
+// reflection and indirect loads.
+func rankOrder(losses []float64) []int {
+	type pair struct {
+		loss  float64
+		trial int
+	}
+	ps := make([]pair, len(losses))
+	for i, l := range losses {
+		ps[i] = pair{l, i}
+	}
+	slices.SortFunc(ps, func(a, b pair) int {
+		switch {
+		case a.loss < b.loss:
+			return -1
+		case b.loss < a.loss:
+			return 1
+		}
+		return a.trial - b.trial
+	})
+	order := make([]int, len(ps))
+	for rank, p := range ps {
+		order[rank] = p.trial
+	}
+	return order
+}
+
+// Run executes the integration over the cat table's trials. Every
+// catastrophe loss must be finite.
 func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Result, error) {
 	if cat == nil || cat.NumTrials() == 0 {
 		return nil, errors.New("dfa: missing catastrophe YLT")
 	}
 	if len(ig.Sources) == 0 {
 		return nil, errors.New("dfa: no sources to integrate")
+	}
+	if i := mathx.FirstNonFinite(cat.Agg); i >= 0 {
+		return nil, fmt.Errorf("dfa: catastrophe loss of trial %d is %g", i, cat.Agg[i])
+	}
+	if i := mathx.FirstNonFinite(cat.OccMax); i >= 0 {
+		return nil, fmt.Errorf("dfa: catastrophe occurrence loss of trial %d is %g", i, cat.OccMax[i])
 	}
 	k := len(ig.Sources) + 1 // coordinate 0 is the cat book
 
@@ -262,12 +299,7 @@ func (ig *Integrator) Run(ctx context.Context, cat *ylt.Table, cfg Config) (*Res
 	// year was. Ties (e.g. many zero-loss years) share the rank range
 	// deterministically by trial order.
 	zCat := make([]float64, n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return cat.Agg[idx[a]] < cat.Agg[idx[b]] })
-	for rank, trial := range idx {
+	for rank, trial := range rankOrder(cat.Agg) {
 		zCat[trial] = mathx.StdNormalQuantile((float64(rank) + 0.5) / float64(n))
 	}
 

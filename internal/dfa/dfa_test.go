@@ -3,6 +3,7 @@ package dfa
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mathx"
@@ -231,6 +232,26 @@ func TestRunValidation(t *testing.T) {
 	// Invalid rho.
 	if _, err := ig.Run(context.Background(), catTable(10, 1), Config{Rho: 1.5}); err == nil {
 		t.Error("invalid rho should error")
+	}
+}
+
+// A non-finite catastrophe loss has no rank; Run must name the trial
+// rather than integrate it.
+func TestRunRejectsNonFiniteCat(t *testing.T) {
+	ig := &Integrator{Sources: StandardSources(1e6)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, occ := range []bool{false, true} {
+			cat := catTable(1000, 3)
+			col := cat.Agg
+			if occ {
+				col = cat.OccMax
+			}
+			col[612], col[800] = bad, bad
+			_, err := ig.Run(context.Background(), cat, Config{Seed: 1, Rho: 0.2})
+			if err == nil || !strings.Contains(err.Error(), "trial 612 ") {
+				t.Errorf("loss %v (occurrence column %v): err = %v, want an error naming trial 612", bad, occ, err)
+			}
+		}
 	}
 }
 

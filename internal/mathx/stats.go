@@ -61,6 +61,17 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
+// FirstNonFinite returns the index of the first NaN or ±Inf in xs, or
+// -1 when every value is finite.
+func FirstNonFinite(xs []float64) int {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // MinMax returns the minimum and maximum of xs.
 // It returns (0, 0) for empty input.
 func MinMax(xs []float64) (lo, hi float64) {

@@ -28,6 +28,18 @@ var ErrNoData = errors.New("metrics: no data")
 // without occurrence detail.
 var ErrNoOccurrence = errors.New("metrics: YLT has no occurrence data")
 
+// ErrNonFinite is returned when a loss vector holds a NaN or ±Inf: an
+// EP curve, quantile or tail mean over it would be silently wrong.
+var ErrNonFinite = errors.New("metrics: non-finite loss")
+
+// checkFinite names the first trial whose loss is NaN or ±Inf.
+func checkFinite(column string, losses []float64) error {
+	if i := mathx.FirstNonFinite(losses); i >= 0 {
+		return fmt.Errorf("%w: %s of trial %d is %g", ErrNonFinite, column, i, losses[i])
+	}
+	return nil
+}
+
 // StandardReturnPeriods are the rows reinsurers conventionally report.
 var StandardReturnPeriods = []float64{2, 5, 10, 25, 50, 100, 250, 500, 1000}
 
@@ -39,9 +51,17 @@ type EPCurve struct {
 }
 
 // NewEPCurve builds a curve from per-trial losses (copied, sorted).
+// Every loss must be finite.
 func NewEPCurve(losses []float64) (*EPCurve, error) {
+	return newEPCurve("loss", losses)
+}
+
+func newEPCurve(column string, losses []float64) (*EPCurve, error) {
 	if len(losses) == 0 {
 		return nil, ErrNoData
+	}
+	if err := checkFinite(column, losses); err != nil {
+		return nil, err
 	}
 	s := make([]float64, len(losses))
 	copy(s, losses)
@@ -78,10 +98,13 @@ func (c *EPCurve) ExceedanceProb(x float64) float64 {
 }
 
 // VaR returns the p-quantile of per-trial losses (value at risk at
-// confidence p, e.g. 0.99).
+// confidence p, e.g. 0.99). Every loss must be finite.
 func VaR(losses []float64, p float64) (float64, error) {
 	if len(losses) == 0 {
 		return 0, ErrNoData
+	}
+	if err := checkFinite("loss", losses); err != nil {
+		return 0, err
 	}
 	return mathx.Quantile(losses, p)
 }
@@ -93,6 +116,12 @@ func TVaR(losses []float64, p float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return tailMean(losses, v), nil
+}
+
+// tailMean is the mean of the losses at or above v, summed in trial
+// order (v itself if none is).
+func tailMean(losses []float64, v float64) float64 {
 	var sum float64
 	var n int
 	for _, l := range losses {
@@ -102,9 +131,9 @@ func TVaR(losses []float64, p float64) (float64, error) {
 		}
 	}
 	if n == 0 {
-		return v, nil
+		return v
 	}
-	return sum / float64(n), nil
+	return sum / float64(n)
 }
 
 // Summary is the standard one-portfolio risk report.
@@ -128,18 +157,24 @@ type ReturnRow struct {
 }
 
 // Summarize computes the standard report from a YLT. OEP columns are
-// filled only when the table has occurrence detail.
+// filled only when the table has occurrence detail. Every loss must be
+// finite.
+//
+// Each loss vector is copied and sorted once: the AEP curve's sorted
+// copy also answers VaR (as a quantile at p, not LossAt(1-p), since
+// 1-(1-p) != p in floating point), so every figure is bit-identical to
+// the free VaR/TVaR/NewEPCurve functions.
 func Summarize(t *ylt.Table) (*Summary, error) {
 	if t.NumTrials() == 0 {
 		return nil, ErrNoData
 	}
-	aep, err := NewEPCurve(t.Agg)
+	aep, err := newEPCurve("annual loss", t.Agg)
 	if err != nil {
 		return nil, err
 	}
 	var oep *EPCurve
 	if t.HasOccurrence() {
-		if oep, err = NewEPCurve(t.OccMax); err != nil {
+		if oep, err = newEPCurve("occurrence loss", t.OccMax); err != nil {
 			return nil, err
 		}
 	}
@@ -149,18 +184,10 @@ func Summarize(t *ylt.Table) (*Summary, error) {
 		AAL:       t.Mean(),
 		AggStdDev: t.StdDev(),
 	}
-	if s.VaR99, err = VaR(t.Agg, 0.99); err != nil {
-		return nil, err
-	}
-	if s.TVaR99, err = TVaR(t.Agg, 0.99); err != nil {
-		return nil, err
-	}
-	if s.VaR995, err = VaR(t.Agg, 0.995); err != nil {
-		return nil, err
-	}
-	if s.TVaR995, err = TVaR(t.Agg, 0.995); err != nil {
-		return nil, err
-	}
+	s.VaR99 = mathx.QuantileSorted(aep.sorted, 0.99)
+	s.TVaR99 = tailMean(t.Agg, s.VaR99)
+	s.VaR995 = mathx.QuantileSorted(aep.sorted, 0.995)
+	s.TVaR995 = tailMean(t.Agg, s.VaR995)
 	for _, rp := range StandardReturnPeriods {
 		if float64(s.Trials) < rp {
 			continue // not enough trials to resolve this tail
@@ -186,7 +213,7 @@ func PML(t *ylt.Table, returnPeriod float64) (float64, error) {
 	if !t.HasOccurrence() {
 		return 0, ErrNoOccurrence
 	}
-	c, err := NewEPCurve(t.OccMax)
+	c, err := newEPCurve("occurrence loss", t.OccMax)
 	if err != nil {
 		return 0, err
 	}

@@ -32,6 +32,7 @@ import (
 	"repro/internal/postevent"
 	"repro/internal/warehouse"
 	"repro/internal/yelt"
+	"repro/internal/ylt"
 )
 
 // EngineKind selects the stage-2 aggregate-analysis engine.
@@ -679,7 +680,7 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 	if err != nil {
 		return nil, err
 	}
-	pml, err := metrics.PML(res.Portfolio, 250)
+	pml, err := pml250(res.Portfolio, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -693,6 +694,21 @@ func (s *Study) PriceContract(ctx context.Context, contract int, trials int) (*Q
 		Premium:    sum.AAL + 0.35*sum.AggStdDev,
 		Elapsed:    elapsed,
 	}, nil
+}
+
+// pml250 reads the 250-year PML from the summary's OEP row, which is
+// LossAtReturnPeriod(250) over the same sorted occurrence maxima
+// metrics.PML would sort again. Below 250 trials the summary has no
+// such row and metrics.PML resolves it.
+func pml250(t *ylt.Table, sum *metrics.Summary) (float64, error) {
+	if t.HasOccurrence() {
+		for _, r := range sum.ReturnRows {
+			if r.ReturnPeriod == 250 {
+				return r.OEP, nil
+			}
+		}
+	}
+	return metrics.PML(t, 250)
 }
 
 // RunModelling executes only stage 1 (catalogue + exposure + ELTs),
