@@ -99,7 +99,7 @@ func main() {
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (pool=%d, timeout=%v)", *addr, pool, *timeout)
@@ -129,6 +129,31 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("drained cleanly")
+}
+
+// Connection limits of the HTTP layer. They bound what a client can
+// hold before its request reaches a handler: a client that trickles or
+// stalls its header is dropped after readHeaderTimeout, its body after
+// readTimeout, and an idle keep-alive connection after idleTimeout.
+// There is no write timeout: a quote's budget is -timeout, which the
+// serving tier enforces and answers with 503.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer is the quote server's HTTP layer over h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // splitDims parses a comma-separated dimension list, dropping empty

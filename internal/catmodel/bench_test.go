@@ -56,3 +56,31 @@ func BenchmarkRunScalesWithEvents(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunPortfolioDefaultBook is stage 1 of riskpipeline's
+// default run on one worker: 10k events against 16 contracts of 300
+// locations each, seed 1, with the exposure seeds core uses.
+func BenchmarkRunPortfolioDefaultBook(b *testing.B) {
+	const seed = 1
+	ccfg := catalog.DefaultConfig()
+	ccfg.NumEvents = 10_000
+	cat, err := catalog.Generate(ccfg, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dbs := make([]*exposure.Database, 16)
+	for c := range dbs {
+		ecfg := exposure.DefaultConfig()
+		ecfg.NumLocations = 300
+		if dbs[c], err = exposure.Generate(ecfg, seed+uint64(1000+c)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng := New()
+	eng.Workers = 1
+	for b.Loop() {
+		if _, err := eng.RunPortfolio(context.Background(), cat, dbs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

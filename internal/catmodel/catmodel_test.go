@@ -215,6 +215,23 @@ func TestCorrelatedShareSplitsVariance(t *testing.T) {
 
 // Malformed coordinates, values or radii must fail the run instead of
 // yielding NaN records.
+// A magnitude that is not finite is an error for every peril. Before
+// CheckEvent rejected it, a NaN magnitude on top of exposure produced
+// a record whose mean loss and sigmas were NaN, with no error.
+func TestRunRejectsNonFiniteMagnitude(t *testing.T) {
+	_, db := smallWorld(t, 1, 20, 3)
+	loc := db.Locations[0]
+	for p := catalog.Peril(0); int(p) < catalog.NumPerils; p++ {
+		for _, mag := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ev := catalog.Event{ID: 1, Peril: p, Lat: loc.Lat, Lon: loc.Lon, Magnitude: mag, RadiusKm: 50}
+			tbl, err := New().Run(context.Background(), catalog.NewCatalog([]catalog.Event{ev}), db, 1)
+			if err == nil {
+				t.Fatalf("%v magnitude %v accepted: %+v", p, mag, tbl.Records)
+			}
+		}
+	}
+}
+
 func TestRunRejectsMalformedInput(t *testing.T) {
 	cat, db := smallWorld(t, 50, 20, 3)
 	nan, inf := math.NaN(), math.Inf(1)

@@ -120,13 +120,17 @@ func checkPoint(lat, lon float64) error {
 }
 
 // CheckEvent rejects an event whose coordinates are not a finite
-// point with |lat| <= 90, or whose radius is negative or not finite.
+// point with |lat| <= 90, whose radius is negative or not finite, or
+// whose magnitude is not finite.
 func CheckEvent(ev catalog.Event) error {
 	if err := checkPoint(ev.Lat, ev.Lon); err != nil {
 		return fmt.Errorf("catmodel: event %d: %w", ev.ID, err)
 	}
 	if !(ev.RadiusKm >= 0) || math.IsInf(ev.RadiusKm, 1) {
 		return fmt.Errorf("catmodel: event %d: radius %g km is not finite and non-negative", ev.ID, ev.RadiusKm)
+	}
+	if math.IsNaN(ev.Magnitude) || math.IsInf(ev.Magnitude, 0) {
+		return fmt.Errorf("catmodel: event %d: magnitude %g is not finite", ev.ID, ev.Magnitude)
 	}
 	return nil
 }
@@ -143,15 +147,15 @@ type Totals struct {
 
 // EventTotals sums the losses ev inflicts on the table, corr being the
 // correlated share of each interest's gross variance. A site is culled
-// when its chord to the event already puts it out of the hazard
-// model's range; every other site gets one IntensityAt call, and its
-// interests are added in ascending order. Culled sites would have had
-// intensity exactly 0, so the sums equal those of evaluating every
-// interest in order (EventTotalsFullScan), bit for bit. The event must
-// pass CheckEvent.
+// when its chord to the event already puts it beyond the event's reach
+// (hazard.Model.ReachKm); every other site gets one IntensityAt call,
+// and its interests are added in ascending order. Culled sites would
+// have had intensity exactly 0, so the sums equal those of evaluating
+// every interest in order (EventTotalsFullScan), bit for bit. The event
+// must pass CheckEvent.
 func (s *Sites) EventTotals(ev catalog.Event, h hazard.Model, v *vulnerability.Matrix, corr float64) Totals {
 	var t Totals
-	at, cut2 := unit(ev.Lat, ev.Lon), cullChord2(h.CutoffKm(ev))
+	at, cut2 := unit(ev.Lat, ev.Lon), cullChord2(h.ReachKm(ev))
 	sqrtCorr := math.Sqrt(corr)
 	for k, p := range s.pos {
 		if p.chord2(at) >= cut2 {

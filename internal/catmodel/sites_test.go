@@ -57,8 +57,8 @@ func fullScanRun(e *Engine, cat *catalog.Catalog, db *exposure.Database, contrac
 }
 
 // requireOracle fails unless Run's ELT equals the full scan's bit for
-// bit, and returns the record count.
-func requireOracle(t *testing.T, cat *catalog.Catalog, db *exposure.Database) int {
+// bit, and returns it.
+func requireOracle(t *testing.T, cat *catalog.Catalog, db *exposure.Database) *elt.Table {
 	t.Helper()
 	eng := New()
 	eng.Workers = 2
@@ -80,7 +80,17 @@ func requireOracle(t *testing.T, cat *catalog.Catalog, db *exposure.Database) in
 			t.Fatalf("record %d: Run %+v, full scan %+v", i, g, w)
 		}
 	}
-	return want.Len()
+	return want
+}
+
+// recordsByPeril counts tbl's records by their event's peril.
+func recordsByPeril(cat *catalog.Catalog, tbl *elt.Table) [catalog.NumPerils]int {
+	var n [catalog.NumPerils]int
+	for _, rec := range tbl.Records {
+		ev, _ := cat.Lookup(rec.EventID)
+		n[ev.Peril]++
+	}
+	return n
 }
 
 // The first two contracts of the default book (core's defaults: seed
@@ -107,8 +117,11 @@ func TestRunMatchesFullScanDefaultBook(t *testing.T) {
 			t.Fatalf("%d sites and %d interests from %d locations and %d interests",
 				len(sites.pos), sites.Interests(), len(db.Locations), len(db.Interests))
 		}
-		if n := requireOracle(t, cat, db); n == 0 {
-			t.Fatal("default book produced no records")
+		byPeril := recordsByPeril(cat, requireOracle(t, cat, db))
+		for p, n := range byPeril {
+			if n == 0 {
+				t.Fatalf("contract %d: no %v records (%v)", c+1, catalog.Peril(p), byPeril)
+			}
 		}
 	}
 }
@@ -189,8 +202,53 @@ func edgeBook(t *testing.T) (*catalog.Catalog, *exposure.Database) {
 
 func TestRunMatchesFullScanEdgeBook(t *testing.T) {
 	cat, db := edgeBook(t)
-	if n := requireOracle(t, cat, db); n < 100 {
+	if n := requireOracle(t, cat, db).Len(); n < 100 {
 		t.Fatalf("edge book produced only %d records", n)
+	}
+}
+
+// reachBook drops events of every peril on the default book's sites
+// with reaches at, just inside and just outside the distance to
+// another site, plus events whose reach is 0 (R = 0, tornado M ≤ 1/11,
+// small earthquakes), below R/2 (hurricane and winter storm below
+// their damage thresholds) or beyond the cutoff.
+func reachBook(t *testing.T) (*catalog.Catalog, *exposure.Database) {
+	t.Helper()
+	_, db := smallWorld(t, 1, 300, 31)
+	st := rng.NewStream(17, 0)
+	var events []catalog.Event
+	for i := 0; i < 3000; i++ {
+		p := catalog.Peril(i % catalog.NumPerils)
+		a := db.Locations[st.Intn(len(db.Locations))]
+		b := db.Locations[st.Intn(len(db.Locations))]
+		d := hazard.DistanceKm(a.Lat, a.Lon, b.Lat, b.Lon)
+		r := d * (1 + []float64{0, 1e-15, 1e-12, 1e-6, 0.3}[st.Intn(5)]*(2*st.Float64()-1))
+		ev := reachEvent(st, p, a.Lat, a.Lon, r)
+		ev.ID = uint32(i + 1)
+		switch i / catalog.NumPerils % 10 {
+		case 0:
+			ev.RadiusKm = 0
+		case 1: // no reach at all
+			ev.Magnitude = map[catalog.Peril]float64{
+				catalog.Earthquake: 2 * st.Float64(), catalog.Hurricane: 20 * st.Float64(),
+				catalog.WinterStorm: 15 * st.Float64(), catalog.Tornado: st.Float64() / 11,
+				catalog.Flood: 0,
+			}[p]
+		case 2: // reach beyond the cutoff
+			ev.RadiusKm = r / 5
+		}
+		events = append(events, ev)
+	}
+	return catalog.NewCatalog(events), db
+}
+
+func TestRunMatchesFullScanReachBook(t *testing.T) {
+	cat, db := reachBook(t)
+	byPeril := recordsByPeril(cat, requireOracle(t, cat, db))
+	for p, n := range byPeril {
+		if n < 20 {
+			t.Fatalf("%v: only %d records (%v)", catalog.Peril(p), n, byPeril)
+		}
 	}
 }
 
@@ -212,9 +270,33 @@ func TestRunMatchesFullScanUngroupedInterests(t *testing.T) {
 	if len(sites.pos) >= sites.Interests() || len(sites.pos) <= len(db.Locations) {
 		t.Fatalf("%d sites for %d interests at %d locations", len(sites.pos), sites.Interests(), len(db.Locations))
 	}
-	if n := requireOracle(t, cat, shuffled); n == 0 {
+	if requireOracle(t, cat, shuffled).Len() == 0 {
 		t.Fatal("ungrouped book produced no records")
 	}
+}
+
+// reachEvent is an event of peril p at (lat, lon) whose reach is about
+// r km: its magnitude (or, for flood, its radius) inverts the peril's
+// zero-intensity radius formula. Rounding puts the reach within a few
+// ulps of r, on either side.
+func reachEvent(st *rng.Stream, p catalog.Peril, lat, lon, r float64) catalog.Event {
+	ev := catalog.Event{ID: 1, Peril: p, Lat: lat, Lon: lon, RadiusKm: (0.2 + 2*st.Float64()) * r}
+	if ev.RadiusKm == 0 {
+		ev.RadiusKm = 50 * st.Float64()
+	}
+	switch p {
+	case catalog.Earthquake:
+		ev.Magnitude = (3.2*math.Log(r+8) - 2) / 1.8
+	case catalog.Hurricane:
+		ev.Magnitude = 40 * r / ev.RadiusKm
+	case catalog.WinterStorm:
+		ev.Magnitude = 30 * r / ev.RadiusKm
+	case catalog.Tornado:
+		ev.Magnitude = math.Exp(r/ev.RadiusKm) / 11
+	default:
+		ev.Magnitude, ev.RadiusKm = 0.5+3*st.Float64(), r/3
+	}
+	return ev
 }
 
 // The cull rejects a pair only when its great-circle distance is at
@@ -222,7 +304,9 @@ func TestRunMatchesFullScanUngroupedInterests(t *testing.T) {
 // ±180° longitude, at and near both poles, coincident or nearly
 // coincident points, zero cutoffs and cutoffs within an ulp of the
 // distance. It must also reject pairs well outside the cutoff, or it
-// would cull nothing.
+// would cull nothing. For every peril, an event whose reach lies
+// within an ulp, 1e-12, 1e-6 or a fraction of the pair's distance is
+// culled only where IntensityAt is exactly 0.
 func TestCullNeverRejectsInRange(t *testing.T) {
 	st := rng.NewStream(3, 0)
 	uniform := func() (float64, float64) {
@@ -260,12 +344,28 @@ func TestCullNeverRejectsInRange(t *testing.T) {
 		}
 		return lat1, lon1, lat2, lon2
 	}
+	var h hazard.Model
 	const pairs = 1 << 20
-	var inRange, culled int
+	var inRange, culled, felt, reachCulled int
 	for k := 0; k < pairs; k++ {
 		lat1, lon1, lat2, lon2 := pair(k)
 		d := hazard.DistanceKm(lat1, lon1, lat2, lon2)
 		c2 := unit(lat2, lon2).chord2(unit(lat1, lon1))
+		p := catalog.Peril(k % catalog.NumPerils)
+		r := d * (1 + []float64{0, 1e-15, 1e-12, 1e-6, 0.5}[st.Intn(5)]*(2*st.Float64()-1))
+		ev := reachEvent(st, p, lat1, lon1, r)
+		inten := h.IntensityAt(ev, lat2, lon2)
+		rejected := c2 >= cullChord2(h.ReachKm(ev))
+		if rejected && inten != 0 {
+			t.Fatalf("culled (%v, %v)-(%v, %v) at %v km from %v M=%v R=%v: intensity %v, reach %v km",
+				lat1, lon1, lat2, lon2, d, p, ev.Magnitude, ev.RadiusKm, inten, h.ReachKm(ev))
+		}
+		if inten > 0 {
+			felt++
+		}
+		if rejected && d < h.CutoffKm(ev) {
+			reachCulled++
+		}
 		for _, cut := range []float64{
 			math.Nextafter(d, math.Inf(1)), d, 0,
 			d * (1 + 1e-12*st.Float64()), 2 * d * st.Float64(),
@@ -287,7 +387,8 @@ func TestCullNeverRejectsInRange(t *testing.T) {
 			}
 		}
 	}
-	if inRange < pairs || culled < pairs/4 {
-		t.Fatalf("weak coverage: %d in-range and %d cullable checks", inRange, culled)
+	if inRange < pairs || culled < pairs/4 || felt < pairs/8 || reachCulled < pairs/64 {
+		t.Fatalf("weak coverage: %d in-range and %d cullable checks, %d felt pairs, %d culled inside the cutoff",
+			inRange, culled, felt, reachCulled)
 	}
 }

@@ -160,12 +160,65 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %#v, want %#v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"static", "static:", "static:0", "static:-3", "elastic:x",
-		"spot:4", "8", "degraded:2", "degraded:x:static:8", "degraded:-1:static:8", "degraded:2:"} {
+	for _, bad := range badPolicies {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Fatalf("ParsePolicy(%q) should error", bad)
 		}
 	}
+}
+
+// badPolicies are the specs TestParsePolicy rejects; with its accepted
+// specs they seed FuzzParsePolicy.
+var badPolicies = []string{"static", "static:", "static:0", "static:-3", "elastic:x",
+	"spot:4", "8", "degraded:2", "degraded:x:static:8", "degraded:-1:static:8", "degraded:2:"}
+
+// ParsePolicy never panics, and every spec it accepts is nil only when
+// empty, and otherwise a valid policy: a positive fleet or cap, a
+// non-negative loss over a non-nil valid inner policy, and at least one
+// processor provisioned for any demand.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range append([]string{"", "static:8", "elastic:64", "degraded:2:elastic:64", "degraded:0:static:8"}, badPolicies...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePolicy(spec)
+		if err != nil {
+			return
+		}
+		if p == nil {
+			if spec != "" {
+				t.Fatalf("ParsePolicy(%q) accepted a spec as no policy", spec)
+			}
+			return
+		}
+		var check func(Policy)
+		check = func(p Policy) {
+			switch q := p.(type) {
+			case Static:
+				if q.N <= 0 {
+					t.Fatalf("ParsePolicy(%q): %#v", spec, q)
+				}
+			case Elastic:
+				if q.Max <= 0 {
+					t.Fatalf("ParsePolicy(%q): %#v", spec, q)
+				}
+			case Degraded:
+				if q.Lost < 0 || q.Inner == nil {
+					t.Fatalf("ParsePolicy(%q): %#v", spec, q)
+				}
+				check(q.Inner)
+			default:
+				t.Fatalf("ParsePolicy(%q): unknown policy %#v", spec, q)
+			}
+		}
+		check(p)
+		for _, demand := range []int{1, 8, 5000} {
+			if n := p.Provision(demand); n < 1 {
+				t.Fatalf("ParsePolicy(%q) provisions %d processors for demand %d", spec, n, demand)
+			}
+		}
+		_ = p.Name()
+	})
 }
 
 // A degraded fleet never provisions below one processor, stretches the

@@ -263,7 +263,7 @@ func Parse(spec string, seed uint64) (*Plan, error) {
 		switch key {
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) {
 				return nil, fmt.Errorf("faultinject: rate %q: want a probability in [0,1]", val)
 			}
 			rules = append(rules, FailShardReadRate{Rate: r})

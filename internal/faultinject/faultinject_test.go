@@ -2,6 +2,9 @@ package faultinject
 
 import (
 	"errors"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -136,7 +139,7 @@ func TestDelaySplitFirstRunOnly(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	p, err := Parse("rate=0.1, shard=3@1, kill=1@4, delay=2@50ms", 7)
+	p, err := Parse(goodSpecs[0], 7)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -161,11 +164,65 @@ func TestParse(t *testing.T) {
 	} else if err := p.DiskRead("yelt", 9, 3); !errors.Is(err, ErrInjected) {
 		t.Fatal("wildcard shard rule should match every shard")
 	}
-	for _, bad := range []string{"bogus", "what=1", "rate=2", "rate=x",
-		"shard=3", "shard=x@1", "kill=*@1", "kill=1", "delay=1",
-		"delay=x@50ms", "delay=1@zzz", "shard=1@-1"} {
+	for _, bad := range badSpecs {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// goodSpecs and badSpecs are the specs TestParse accepts and rejects;
+// they seed FuzzParse.
+var (
+	goodSpecs = []string{"rate=0.1, shard=3@1, kill=1@4, delay=2@50ms", "", "shard=*@1"}
+	badSpecs  = []string{"bogus", "what=1", "rate=2", "rate=x", "rate=NaN",
+		"shard=3", "shard=x@1", "kill=*@1", "kill=1", "delay=1",
+		"delay=x@50ms", "delay=1@zzz", "shard=1@-1"}
+)
+
+// Parse never panics, and every spec it accepts compiles to a valid
+// plan: nil only for a blank spec, each rate rule's probability in
+// [0,1] and carried into the plan, and no negative attempt count, task
+// count or delay.
+func FuzzParse(f *testing.F) {
+	for _, s := range append(slices.Clone(goodSpecs), badSpecs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		if p == nil {
+			if strings.TrimSpace(spec) != "" {
+				t.Fatalf("Parse(%q) accepted a spec as an empty plan", spec)
+			}
+			return
+		}
+		if !(p.rate >= 0 && p.rate <= 1) {
+			t.Fatalf("Parse(%q): rate %v", spec, p.rate)
+		}
+		for _, field := range strings.Split(spec, ",") {
+			if key, val, _ := strings.Cut(strings.TrimSpace(field), "="); key == "rate" {
+				if r, _ := strconv.ParseFloat(val, 64); !(p.rate >= r) {
+					t.Fatalf("Parse(%q): plan rate %v below rule rate %v", spec, p.rate, r)
+				}
+			}
+		}
+		for _, r := range p.fails {
+			if r.Attempts < 0 {
+				t.Fatalf("Parse(%q): %+v", spec, r)
+			}
+		}
+		for node, n := range p.kills {
+			if n < 0 {
+				t.Fatalf("Parse(%q): node %d dies after %d tasks", spec, node, n)
+			}
+		}
+		for split, d := range p.delay {
+			if d < 0 {
+				t.Fatalf("Parse(%q): split %d delayed by %v", spec, split, d)
+			}
+		}
+	})
 }

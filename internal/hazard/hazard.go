@@ -63,7 +63,11 @@ func (m Model) CutoffKm(ev catalog.Event) float64 {
 // pipeline lives in event occurrence and damage uncertainty, not in
 // the physics approximation.
 func (m Model) IntensityAt(ev catalog.Event, lat, lon float64) Intensity {
-	d := DistanceKm(ev.Lat, ev.Lon, lat, lon)
+	return m.intensity(ev, DistanceKm(ev.Lat, ev.Lon, lat, lon))
+}
+
+// intensity is IntensityAt at great-circle distance d km.
+func (m Model) intensity(ev catalog.Event, d float64) Intensity {
 	if d >= m.CutoffKm(ev) {
 		return 0
 	}
@@ -97,6 +101,47 @@ func (m Model) IntensityAt(ev catalog.Event, lat, lon float64) Intensity {
 	return Intensity(raw)
 }
 
+// ReachKm is the distance at and beyond which ev's intensity is
+// exactly 0: the smaller of CutoffKm and the peril's zero-intensity
+// radius, where IntensityAt's raw value falls to 0:
+//
+//	earthquake    exp((1.8M+2)/3.2) − 8
+//	hurricane     M·R/40
+//	winter storm  M·R/30
+//	tornado       R·ln(11M)
+//	flood         CutoffKm (depth stays positive out to the cutoff)
+//
+// The radius r is padded by 1e-12 of the scale its rounding grows
+// with: r+8 for the earthquake's log-distance decay, r+R for the
+// tornado's exponential, r itself for the inverse-distance decay. The
+// formulas and IntensityAt each round by a few ulps, 1e-14 of that
+// scale at most, so the pad keeps IntensityAt exactly 0 from the
+// returned reach on. A negative or NaN radius clamps to 0.
+func (m Model) ReachKm(ev catalog.Event) float64 {
+	cut := m.CutoffKm(ev)
+	var r, scale float64
+	switch ev.Peril {
+	case catalog.Earthquake:
+		r = math.Exp((1.8*ev.Magnitude+2)/3.2) - 8
+		scale = r + 8
+	case catalog.Hurricane:
+		r = ev.Magnitude * ev.RadiusKm / 40
+		scale = r
+	case catalog.WinterStorm:
+		r = ev.Magnitude * ev.RadiusKm / 30
+		scale = r
+	case catalog.Tornado:
+		r = ev.RadiusKm * math.Log(11*ev.Magnitude)
+		scale = r + ev.RadiusKm
+	default:
+		return cut
+	}
+	if r += 1e-12 * scale; !(r > 0) {
+		return 0
+	}
+	return math.Min(r, cut)
+}
+
 // decay is the shared radial decay profile: flat to half the footprint
 // radius, then smooth inverse-distance falloff.
 func decay(d, radius float64) float64 {
@@ -108,19 +153,4 @@ func decay(d, radius float64) float64 {
 		return 1
 	}
 	return half / (d - half + half) // = half/d', normalized to 1 at half
-}
-
-// Footprint computes intensities for one event across a set of sites,
-// returning a dense slice aligned with the sites. It exists so callers
-// iterate events outermost (streaming the big table once) — the
-// access pattern the paper's stage 1 prescribes.
-func (m Model) Footprint(ev catalog.Event, lats, lons []float64, out []Intensity) []Intensity {
-	if cap(out) < len(lats) {
-		out = make([]Intensity, len(lats))
-	}
-	out = out[:len(lats)]
-	for i := range lats {
-		out[i] = m.IntensityAt(ev, lats[i], lons[i])
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/catalog"
+	"repro/internal/rng"
 )
 
 func TestDistanceKnown(t *testing.T) {
@@ -101,27 +102,6 @@ func TestIntensityBounds(t *testing.T) {
 	}
 }
 
-func TestFootprintMatchesPointwise(t *testing.T) {
-	var m Model
-	ev := eventAt(catalog.Hurricane, 50, 150)
-	lats := []float64{30, 30.5, 31, 29, 35}
-	lons := []float64{-90, -90.2, -89, -91, -95}
-	out := m.Footprint(ev, lats, lons, nil)
-	if len(out) != len(lats) {
-		t.Fatal("length mismatch")
-	}
-	for i := range lats {
-		if out[i] != m.IntensityAt(ev, lats[i], lons[i]) {
-			t.Fatalf("footprint[%d] mismatch", i)
-		}
-	}
-	// Reuse buffer path.
-	out2 := m.Footprint(ev, lats, lons, out)
-	if &out2[0] != &out[0] {
-		t.Error("expected buffer reuse")
-	}
-}
-
 func TestTornadoSharpFalloff(t *testing.T) {
 	var m Model
 	ev := eventAt(catalog.Tornado, 4.5, 5)
@@ -144,5 +124,118 @@ func TestDecayProfile(t *testing.T) {
 	}
 	if decay(10, 0) != 0 {
 		t.Error("zero radius yields zero")
+	}
+}
+
+// zeroRadiusMagnitude is the magnitude at which p's zero-intensity
+// radius is 0 (and below which it is negative), for the perils whose
+// radius depends on the magnitude alone or on M·R.
+func zeroRadiusMagnitude(p catalog.Peril) float64 {
+	switch p {
+	case catalog.Earthquake:
+		return (3.2*math.Log(8) - 2) / 1.8
+	case catalog.Tornado:
+		return 1.0 / 11
+	}
+	return 0
+}
+
+// IntensityAt is exactly 0 at every distance at or beyond ReachKm:
+// one ulp past it, just past it, well past it and past the cutoff, for
+// every peril over the catalogue's magnitude ranges and beyond, at
+// magnitudes within a few ulps of where the radius is 0, where it
+// is below R/2 (hurricane and winter storm below their damage
+// thresholds), where it exceeds CutoffKm, and at R = 0. Where the
+// event is felt and its reach is inside the cutoff, the intensity
+// just inside the reach is positive, so the reach is no looser than
+// it needs to be.
+func TestIntensityZeroFromReach(t *testing.T) {
+	var m Model
+	st := rng.NewStream(5, 0)
+	perils := []catalog.Peril{catalog.Earthquake, catalog.Hurricane, catalog.Flood, catalog.WinterStorm, catalog.Tornado}
+	magRange := map[catalog.Peril][2]float64{
+		catalog.Earthquake:  {-2, 12},
+		catalog.Hurricane:   {0, 200},
+		catalog.Flood:       {0, 6},
+		catalog.WinterStorm: {0, 150},
+		catalog.Tornado:     {0, 8},
+	}
+	var checks, tight, zeroReach, halfR, beyondCut int
+	for _, p := range perils {
+		for k := 0; k < 40_000; k++ {
+			ev := eventAt(p, 0, math.Exp(-6+14*st.Float64())) // R from 2.5 m to 3,000 km
+			lo, hi := magRange[p][0], magRange[p][1]
+			ev.Magnitude = lo + (hi-lo)*st.Float64()
+			switch k % 8 {
+			case 0: // within 32 ulps of a zero radius
+				ev.Magnitude = zeroRadiusMagnitude(p)
+				dir := math.Inf(1)
+				if st.Float64() < 0.5 {
+					dir = math.Inf(-1)
+				}
+				for j := st.Intn(33); j > 0; j-- {
+					ev.Magnitude = math.Nextafter(ev.Magnitude, dir)
+				}
+			case 1:
+				ev.RadiusKm = 0
+			}
+			reach, cut := m.ReachKm(ev), m.CutoffKm(ev)
+			if !(reach >= 0 && reach <= cut) {
+				t.Fatalf("%v M=%v R=%v: reach %v outside [0, cutoff %v]", p, ev.Magnitude, ev.RadiusKm, reach, cut)
+			}
+			switch {
+			case reach == 0:
+				zeroReach++
+			case reach == cut && p != catalog.Flood:
+				beyondCut++
+			case reach < ev.RadiusKm/2:
+				halfR++
+			}
+			for _, d := range []float64{
+				reach, math.Nextafter(reach, math.Inf(1)), reach * (1 + 1e-15),
+				reach * (1 + 1e-12*st.Float64()), reach + 1e-9*st.Float64(),
+				reach * (1 + st.Float64()), cut, 2*cut + 1,
+			} {
+				checks++
+				if i := m.intensity(ev, d); i != 0 {
+					t.Fatalf("%v M=%v R=%v: intensity %v at %v km, reach %v km",
+						p, ev.Magnitude, ev.RadiusKm, i, d, reach)
+				}
+			}
+			if reach > 1e-3 && reach < cut && m.intensity(ev, 0) > 0 {
+				tight++
+				if m.intensity(ev, reach*(1-1e-6)) <= 0 {
+					t.Fatalf("%v M=%v R=%v: intensity 0 inside the reach %v km", p, ev.Magnitude, ev.RadiusKm, reach)
+				}
+			}
+		}
+	}
+	if tight < 30_000 || zeroReach < 10_000 || halfR < 5_000 || beyondCut < 5_000 {
+		t.Fatalf("weak coverage: %d tight, %d zero-reach, %d below R/2, %d capped at the cutoff (of %d checks)",
+			tight, zeroReach, halfR, beyondCut, checks)
+	}
+}
+
+// The exported IntensityAt is intensity at the haversine distance, so
+// a site past the reach along a meridian gets exactly 0.
+func TestIntensityAtPastReach(t *testing.T) {
+	var m Model
+	for _, p := range []catalog.Peril{catalog.Earthquake, catalog.Hurricane, catalog.Flood, catalog.WinterStorm, catalog.Tornado} {
+		ev := eventAt(p, map[catalog.Peril]float64{
+			catalog.Earthquake: 7, catalog.Hurricane: 55, catalog.Flood: 3,
+			catalog.WinterStorm: 40, catalog.Tornado: 4,
+		}[p], 100)
+		reach := m.ReachKm(ev)
+		dLat := reach / (EarthRadiusKm * math.Pi / 180)
+		if m.IntensityAt(ev, ev.Lat+0.999*dLat, ev.Lon) <= 0 {
+			t.Fatalf("%v: intensity 0 just inside the reach %v km", p, reach)
+		}
+		lat := ev.Lat + dLat
+		for DistanceKm(ev.Lat, ev.Lon, lat, ev.Lon) < reach {
+			lat = math.Nextafter(lat, 90)
+		}
+		if i := m.IntensityAt(ev, lat, ev.Lon); i != 0 {
+			t.Fatalf("%v: intensity %v at the reach %v km", p, i, reach)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package postevent
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -93,7 +94,9 @@ func TestIndexedMatchesFullScan(t *testing.T) {
 
 // The rule in Estimator's doc: over one database with default terms
 // and hazard, an estimate carries the stage-1 record's mean loss and
-// exposed value bit for bit, for every catalogue event.
+// exposed value bit for bit, for every catalogue event. Every other
+// event is moved onto a site, so each peril's reach cuts through the
+// book.
 func TestEstimateEqualsStage1Record(t *testing.T) {
 	ccfg := catalog.DefaultConfig()
 	ccfg.NumEvents = 3000
@@ -102,6 +105,12 @@ func TestEstimateEqualsStage1Record(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbs := testDBs(t, 1, 41)
+	events := slices.Clone(cat.Events)
+	for i := 0; i < len(events); i += 2 {
+		loc := dbs[0].Locations[i%len(dbs[0].Locations)]
+		events[i].Lat, events[i].Lon = loc.Lat, loc.Lon
+	}
+	cat = catalog.NewCatalog(events)
 	tbl, err := catmodel.New().Run(context.Background(), cat, dbs[0], 1)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +137,15 @@ func TestEstimateEqualsStage1Record(t *testing.T) {
 				ev.ID, res.GrossMean, res.ExposedValue, rec.MeanLoss, rec.ExposedValue)
 		}
 	}
-	if tbl.Len() == 0 {
-		t.Fatal("scenario produced no stage-1 records")
+	var byPeril [catalog.NumPerils]int
+	for _, rec := range tbl.Records {
+		ev, _ := cat.Lookup(rec.EventID)
+		byPeril[ev.Peril]++
+	}
+	for p, n := range byPeril {
+		if n == 0 {
+			t.Fatalf("%v: no stage-1 records (%v)", catalog.Peril(p), byPeril)
+		}
 	}
 }
 
@@ -222,6 +238,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// A magnitude that is not finite is an error for every peril, on the
+// culled and the full-scan path alike.
+func TestEstimateRejectsNonFiniteMagnitude(t *testing.T) {
+	dbs := testDBs(t, 1, 43)
+	est, err := New(dbs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := catalog.Peril(0); int(p) < catalog.NumPerils; p++ {
+		for _, mag := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ev := eventNear(dbs)
+			ev.Peril, ev.Magnitude = p, mag
+			if res, err := est.Estimate(context.Background(), ev); err == nil {
+				t.Fatalf("%v magnitude %v accepted: %+v", p, mag, res)
+			}
+			if res, err := est.EstimateFullScan(context.Background(), ev); err == nil {
+				t.Fatalf("%v magnitude %v accepted by the full scan: %+v", p, mag, res)
+			}
+		}
+	}
+}
+
 func TestCancellation(t *testing.T) {
 	dbs := testDBs(t, 2, 29)
 	est, err := New(dbs, nil)
@@ -286,6 +324,12 @@ func TestEdgeSitesMatchFullScan(t *testing.T) {
 			catalog.Event{ID: 1, Peril: catalog.Hurricane, Lat: 20, Lon: -179.92, Magnitude: 70, RadiusKm: 60}},
 		{"pole", 89.5, 0,
 			catalog.Event{ID: 2, Peril: catalog.WinterStorm, Lat: 89.5, Lon: 179, Magnitude: 45, RadiusKm: 200}},
+		{"antimeridian quake", 35, 179.95,
+			catalog.Event{ID: 3, Peril: catalog.Earthquake, Lat: 35, Lon: -179.9, Magnitude: 7, RadiusKm: 60}},
+		{"pole flood", 89.9, 90,
+			catalog.Event{ID: 4, Peril: catalog.Flood, Lat: 89.9, Lon: -90, Magnitude: 2, RadiusKm: 30}},
+		{"antimeridian tornado", -10, -179.999,
+			catalog.Event{ID: 5, Peril: catalog.Tornado, Lat: -10, Lon: 179.999, Magnitude: 4, RadiusKm: 5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
